@@ -20,10 +20,11 @@ lint:
 # the cluster client, the storage engine the chaos tests hammer, the WAL the
 # replica catch-up tails, the fault-injection transport, the
 # trainer/prefetch-pipeline concurrency, the checkpoint store, the metrics
-# registry every hot path writes into, and the serving tier's engine pool +
-# HNSW index (concurrent insert/search/delete).
+# registry every hot path writes into, the serving tier's engine pool +
+# HNSW index (concurrent insert/search/delete), and the wire frame pool and
+# attribute store whose buffers and rows cross connection goroutines.
 race: vet
-	$(GO) test -race ./internal/cluster/... ./internal/storage/... ./internal/eventlog/... ./internal/faultinject/... ./internal/gnn/... ./internal/pipeline/... ./internal/view/... ./internal/checkpoint/... ./internal/obs/... ./internal/serve/... ./internal/ann/...
+	$(GO) test -race ./internal/cluster/... ./internal/storage/... ./internal/eventlog/... ./internal/faultinject/... ./internal/gnn/... ./internal/pipeline/... ./internal/view/... ./internal/checkpoint/... ./internal/obs/... ./internal/serve/... ./internal/ann/... ./internal/wire/... ./internal/kvstore/...
 
 # Replication chaos drill: replica kill + failover + WAL-shipped rejoin,
 # twice, under the race detector.

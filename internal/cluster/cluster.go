@@ -119,9 +119,38 @@ type FeatureArgs struct {
 
 // FeatureReply returns a row-major (len(Nodes) × Dim) matrix, plus one
 // label per node (unlabeled = 0) when WithLabels was set.
+//
+// On the wire path neither side materializes Data: a server's reply
+// carries a featureSource and encodes the rows straight from its attribute
+// store into the response frame, and a client's reply carries featureRows
+// and decodes each row straight into the caller's matrix. Data and Labels
+// are filled only by gob, which sees exported fields alone.
 type FeatureReply struct {
 	Data   []float32
 	Labels []int32
+
+	from *featureSource
+	into *featureRows
+}
+
+// featureSource is what a server's Features reply encodes: the rows (and,
+// when labels is set, the labels) of nodes in its attribute store.
+type featureSource struct {
+	attrs  *kvstore.Store
+	nodes  []graph.VertexID
+	dim    int
+	labels bool
+}
+
+// featureRows is where a client's Features reply lands: reply row j is row
+// idx[j] of out, and reply label j is labels[idx[j]] when labels is
+// non-nil. filled records that the decoder already placed them.
+type featureRows struct {
+	out    []float32
+	labels []int32
+	idx    []int
+	dim    int
+	filled bool
 }
 
 // SourcesArgs requests the source vertices of one relation. Routed requests
@@ -347,7 +376,23 @@ func (s *Service) Degree(args *DegreeArgs, reply *DegreeReply) (err error) {
 }
 
 // Features gathers feature rows.
-func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) (err error) {
+func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) error {
+	if err := s.features(args, reply); err != nil {
+		return err
+	}
+	// net/rpc encodes exported fields only: gather the rows into them.
+	src := reply.from
+	reply.from = nil
+	reply.Data = src.attrs.GatherFeatures(src.nodes, src.dim)
+	if src.labels {
+		reply.Labels = src.attrs.GatherLabels(src.nodes)
+	}
+	return nil
+}
+
+// features validates a Features request and points reply at the rows to
+// send; the wire codec encodes them from the store (FeatureReply.appendWire).
+func (s *Service) features(args *FeatureArgs, reply *FeatureReply) (err error) {
 	start := time.Now()
 	defer func() { s.metrics.observeServed("Features", start) }()
 	defer guard("Features", &err)
@@ -360,10 +405,10 @@ func (s *Service) Features(args *FeatureArgs, reply *FeatureReply) (err error) {
 	if s.attrs == nil {
 		return fmt.Errorf("cluster: server has no attribute store")
 	}
-	reply.Data = s.attrs.GatherFeatures(args.Nodes, args.Dim)
-	if args.WithLabels {
-		reply.Labels = s.attrs.GatherLabels(args.Nodes)
+	if args.Dim < 0 {
+		return fmt.Errorf("cluster: negative feature dim %d", args.Dim)
 	}
+	reply.from = &featureSource{attrs: s.attrs, nodes: args.Nodes, dim: args.Dim, labels: args.WithLabels}
 	return nil
 }
 
@@ -1141,11 +1186,16 @@ func (c *Client) featuresLabels(ctx context.Context, nodes []graph.VertexID, dim
 		if len(partNodes[p]) == 0 {
 			return nil
 		}
-		var reply FeatureReply
+		rows := &featureRows{out: out, labels: labels, idx: partIdx[p], dim: dim}
+		reply := FeatureReply{into: rows}
 		args := &FeatureArgs{Nodes: partNodes[p], Dim: dim, WithLabels: withLabels}
 		if err := c.readShard(ctx, p, ServiceName+".Features", args, &reply); err != nil {
 			return err
 		}
+		if rows.filled {
+			return nil
+		}
+		// A gob reply arrives whole in Data and Labels; place its rows.
 		if len(reply.Data) != len(partNodes[p])*dim {
 			return fmt.Errorf("cluster: shard %d returned %d floats", p, len(reply.Data))
 		}

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"math"
 	"net"
 	"net/rpc"
+	"runtime"
+	"slices"
 	"testing"
 
 	"platod2gl/internal/core"
@@ -173,6 +176,48 @@ func TestFeaturesRPC(t *testing.T) {
 	noAttrs := NewService(svcStore, nil)
 	if err := noAttrs.Features(&FeatureArgs{}, &reply); err == nil {
 		t.Fatal("expected error without attribute store")
+	}
+}
+
+// TestFeaturesAllocatesAboutTheTensor: one Client.Features call over a
+// 2-shard cluster allocates little beyond the matrix it returns. Servers
+// encode rows from their stores into pooled frames, and the client decodes
+// each row straight into place.
+func TestFeaturesAllocatesAboutTheTensor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const n, dim = 4096, 64
+	client, shutdown := newCluster(t, 2)
+	defer shutdown()
+	nodes := make([]graph.VertexID, n)
+	feats := make([]float32, n*dim)
+	for i := range nodes {
+		nodes[i] = graph.MakeVertexID(0, uint64(i))
+		for k := 0; k < dim; k++ {
+			feats[i*dim+k] = float32(i) + float32(k)/dim
+		}
+	}
+	if err := client.SetFeatures(nodes, dim, feats, nil); err != nil {
+		t.Fatalf("SetFeatures: %v", err)
+	}
+	tensor := uint64(4 * n * dim)
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 8; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := client.Features(nodes, dim)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Features: %v", err)
+		}
+		if !slices.Equal(got, feats) {
+			t.Fatal("Features returned rows out of place")
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > tensor*5/4 {
+		t.Fatalf("Features allocated %d bytes for a %d-byte tensor; want ≤ 1.25×", best, tensor)
 	}
 }
 

@@ -101,7 +101,7 @@ var wireMethods = []wireMethod{
 	{"Features",
 		func() wireMessage { return new(FeatureArgs) },
 		func() wireMessage { return new(FeatureReply) },
-		func(s *Service, a, r wireMessage) error { return s.Features(a.(*FeatureArgs), r.(*FeatureReply)) }},
+		func(s *Service, a, r wireMessage) error { return s.features(a.(*FeatureArgs), r.(*FeatureReply)) }},
 	{"SetFeatures",
 		func() wireMessage { return new(SetFeaturesArgs) },
 		func() wireMessage { return new(SetFeaturesReply) },
@@ -298,14 +298,15 @@ func (s *Server) serveWire(conn net.Conn, hsDone func()) {
 		reqBytes := int64(len(req)) + 4
 		resp, method := s.handleWireFrame(req, ver)
 		wire.PutBuf(req)
+		// Record before writing: once the reply is on the wire the client
+		// may return and read the payload metric.
+		if method != "" {
+			m.observePayload(method, reqBytes+int64(len(resp))+4)
+		}
 		err = wire.WriteFrame(conn, resp)
-		respBytes := int64(len(resp)) + 4
 		wire.PutBuf(resp)
 		if err != nil {
 			return
-		}
-		if method != "" {
-			m.observePayload(method, reqBytes+respBytes)
 		}
 	}
 }
@@ -386,7 +387,7 @@ func (s *Server) handleWireFrame(req []byte, ver byte) (resp []byte, method stri
 		// rpc.ServerError — same classification as the gob transport.
 		return fail(err.Error()), method
 	}
-	b := wire.GetBuf(0)
+	b := frameBuf(1, reply)
 	b = append(b, wire.KindResponse)
 	return reply.appendWire(b), method
 }

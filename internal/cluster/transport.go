@@ -13,12 +13,12 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/rpc"
-	"reflect"
 	"sync"
 	"syscall"
 	"time"
@@ -186,10 +186,11 @@ func (t *wireTransport) Close() error {
 }
 
 // Call encodes args, performs one request/response exchange, and decodes
-// into reply. The encode happens synchronously in the caller (so callers
-// may recycle args-backing buffers once Call returns) and a timed-out
-// attempt decodes into a private value that is discarded (so callers may
-// retry into the same reply struct without racing an abandoned decoder).
+// into reply. Encode and decode both happen synchronously in the caller: so
+// callers may recycle args-backing buffers once Call returns, and a
+// timed-out attempt never touches reply (so callers may retry into the same
+// reply struct, or one that decodes into their own buffers, without racing
+// an abandoned exchange).
 func (t *wireTransport) Call(method string, args, reply any, d time.Duration) error {
 	return t.CallEnv(method, args, reply, d, callEnv{})
 }
@@ -234,7 +235,7 @@ func (t *wireTransport) callEnv(method string, args, reply any, d time.Duration,
 	// The envelope kind exists only in protocol v2; on a v1-negotiated
 	// connection the call degrades to a bare request — exactly the
 	// "negotiate down to today's behavior" contract.
-	frame := wire.GetBuf(0)
+	frame := frameBuf(2+2*binary.MaxVarintLen64, wa) // kind, priority, budget, method id
 	if wc.version >= 2 && (env.hasPri || env.budget > 0) {
 		frame = append(frame, wire.KindRequestEnv)
 		if env.hasPri {
@@ -254,26 +255,28 @@ func (t *wireTransport) callEnv(method string, args, reply any, d time.Duration,
 	frame = wa.appendWire(frame)
 
 	if d <= 0 {
-		err := roundTripWire(wc, frame, reply.(wireMessage))
+		resp, err := exchangeWire(wc, frame)
 		wire.PutBuf(frame)
+		if err == nil {
+			err = decodeWireResponse(resp, reply.(wireMessage))
+		}
 		t.finish(wc, err)
 		return err
 	}
 	// The exchange runs in a goroutine so a blackholed connection cannot
 	// outlive the deadline (conns may be wrapped — fault injection, pipes —
-	// so SetDeadline is not universally honored; closing the conn is). The
-	// goroutine decodes into a fresh struct and the winner of the select
-	// copies it out, so an abandoned attempt never writes the caller's reply.
+	// so SetDeadline is not universally honored; closing the conn is). Only
+	// the winner of the select decodes, so an abandoned attempt never
+	// writes the caller's reply.
 	type result struct {
-		tmp wireMessage
-		err error
+		resp []byte
+		err  error
 	}
 	done := make(chan result, 1)
 	go func() {
-		tmp := reflect.New(reflect.TypeOf(reply).Elem()).Interface().(wireMessage)
-		err := roundTripWire(wc, frame, tmp)
+		resp, err := exchangeWire(wc, frame)
 		wire.PutBuf(frame)
-		done <- result{tmp, err}
+		done <- result{resp, err}
 	}()
 	tm := time.NewTimer(d)
 	defer tm.Stop()
@@ -282,11 +285,12 @@ func (t *wireTransport) callEnv(method string, args, reply any, d time.Duration,
 		wc.conn.Close() // unblocks the goroutine; the conn is not reusable
 		return ErrCallTimeout
 	case res := <-done:
-		if res.err == nil {
-			reflect.ValueOf(reply).Elem().Set(reflect.ValueOf(res.tmp).Elem())
+		err := res.err
+		if err == nil {
+			err = decodeWireResponse(res.resp, reply.(wireMessage))
 		}
-		t.finish(wc, res.err)
-		return res.err
+		t.finish(wc, err)
+		return err
 	}
 }
 
@@ -302,15 +306,22 @@ func (t *wireTransport) finish(wc *wireConn, err error) {
 	wc.conn.Close()
 }
 
-// roundTripWire writes one request frame and decodes the response.
-func roundTripWire(wc *wireConn, frame []byte, reply wireMessage) error {
+// exchangeWire writes one request frame and reads the response frame (a
+// pooled buffer for decodeWireResponse).
+func exchangeWire(wc *wireConn, frame []byte) ([]byte, error) {
 	if err := wire.WriteFrame(wc.conn, frame); err != nil {
-		return fmt.Errorf("cluster: wire write: %w", err)
+		return nil, fmt.Errorf("cluster: wire write: %w", err)
 	}
 	resp, err := wire.ReadFrame(wc.conn)
 	if err != nil {
-		return fmt.Errorf("cluster: wire read: %w", err)
+		return nil, fmt.Errorf("cluster: wire read: %w", err)
 	}
+	return resp, nil
+}
+
+// decodeWireResponse decodes a response frame into reply, or returns the
+// error frame it carries, and recycles the frame.
+func decodeWireResponse(resp []byte, reply wireMessage) error {
 	defer wire.PutBuf(resp)
 	if len(resp) == 0 {
 		return errors.New("cluster: empty wire response")

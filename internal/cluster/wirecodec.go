@@ -13,6 +13,8 @@
 package cluster
 
 import (
+	"encoding/binary"
+
 	"platod2gl/internal/eventlog"
 	"platod2gl/internal/graph"
 	"platod2gl/internal/kvstore"
@@ -23,6 +25,21 @@ import (
 type wireMessage interface {
 	appendWire(b []byte) []byte
 	decodeWire(r *wire.Reader)
+}
+
+// wireSizer is implemented by payloads that can bound their encoded length
+// up front; frame builders then take a buffer of that size from the pool.
+type wireSizer interface {
+	wireSize() int
+}
+
+// frameBuf returns an empty pooled buffer with room for a frame of
+// headerBytes plus m's encoding when m can bound it.
+func frameBuf(headerBytes int, m wireMessage) []byte {
+	if s, ok := m.(wireSizer); ok {
+		return wire.GetBuf(headerBytes + s.wireSize())[:0]
+	}
+	return wire.GetBuf(0)
 }
 
 // --- shared sub-codecs ---------------------------------------------------
@@ -52,6 +69,9 @@ func appendVertexIDs(b []byte, ids []graph.VertexID) []byte {
 	}
 	return b
 }
+
+// vertexIDsSize bounds the encoded length of n vertex ids.
+func vertexIDsSize(n int) int { return binary.MaxVarintLen64 + n*(1+binary.MaxVarintLen64) }
 
 func readVertexIDs(r *wire.Reader) []graph.VertexID {
 	// Each id is at least 2 bytes (type byte + 1 varint byte).
@@ -194,6 +214,14 @@ func (a *BatchArgs) appendWire(b []byte) []byte {
 	return wire.AppendUint64(b, a.Sum)
 }
 
+// maxEventSize bounds one encoded event: kind, type, two ids, weight,
+// timestamp.
+const maxEventSize = 2 + 2*(1+binary.MaxVarintLen64) + 8 + binary.MaxVarintLen64
+
+func (a *BatchArgs) wireSize() int {
+	return binary.MaxVarintLen64 + len(a.Events)*maxEventSize + 4*binary.MaxVarintLen64 + 8
+}
+
 func (a *BatchArgs) decodeWire(r *wire.Reader) {
 	a.Events = readEvents(r)
 	a.ClientID = r.Uvarint()
@@ -222,6 +250,8 @@ func (a *SampleArgs) appendWire(b []byte) []byte {
 	return wire.AppendUvarint(b, a.RouteEpoch)
 }
 
+func (a *SampleArgs) wireSize() int { return vertexIDsSize(len(a.Seeds)) + 1 + 4*binary.MaxVarintLen64 }
+
 func (a *SampleArgs) decodeWire(r *wire.Reader) {
 	a.Seeds = readVertexIDs(r)
 	a.Type = graph.EdgeType(r.Byte())
@@ -232,6 +262,8 @@ func (a *SampleArgs) decodeWire(r *wire.Reader) {
 }
 
 func (a *SampleReply) appendWire(b []byte) []byte { return appendVertexIDs(b, a.Neighbors) }
+
+func (a *SampleReply) wireSize() int { return vertexIDsSize(len(a.Neighbors)) }
 
 func (a *SampleReply) decodeWire(r *wire.Reader) { a.Neighbors = readVertexIDs(r) }
 
@@ -276,6 +308,10 @@ func (a *FeatureArgs) appendWire(b []byte) []byte {
 	return wire.AppendUvarint(b, a.RouteEpoch)
 }
 
+func (a *FeatureArgs) wireSize() int {
+	return vertexIDsSize(len(a.Nodes)) + 1 + 3*binary.MaxVarintLen64
+}
+
 func (a *FeatureArgs) decodeWire(r *wire.Reader) {
 	a.Nodes = readVertexIDs(r)
 	a.Dim = int(r.Varint())
@@ -284,14 +320,68 @@ func (a *FeatureArgs) decodeWire(r *wire.Reader) {
 	a.RouteEpoch = r.Uvarint()
 }
 
+// FeatureReply's layout is `Float32s data | Int32s labels` whichever side
+// of the call built it; see FeatureReply for the from/into fast paths.
 func (a *FeatureReply) appendWire(b []byte) []byte {
-	b = wire.AppendFloat32s(b, a.Data)
-	return wire.AppendInt32s(b, a.Labels)
+	src := a.from
+	if src == nil {
+		b = wire.AppendFloat32s(b, a.Data)
+		return wire.AppendInt32s(b, a.Labels)
+	}
+	b = wire.AppendUvarint(b, uint64(len(src.nodes)*src.dim))
+	b = src.attrs.AppendFeatures(b, src.nodes, src.dim)
+	if !src.labels {
+		return wire.AppendUvarint(b, 0)
+	}
+	b = wire.AppendUvarint(b, uint64(len(src.nodes)))
+	return src.attrs.AppendLabels(b, src.nodes)
+}
+
+// wireSize bounds the encoded length, so the server's response frame comes
+// from the right pool class instead of growing by append.
+func (a *FeatureReply) wireSize() int {
+	floats, labels := len(a.Data), len(a.Labels)
+	if src := a.from; src != nil {
+		floats = len(src.nodes) * src.dim
+		labels = 0
+		if src.labels {
+			labels = len(src.nodes)
+		}
+	}
+	return 2*binary.MaxVarintLen64 + 4*(floats+labels)
 }
 
 func (a *FeatureReply) decodeWire(r *wire.Reader) {
+	if a.into != nil {
+		a.into.decodeWire(r)
+		return
+	}
 	a.Data = r.Float32s()
 	a.Labels = r.Int32s()
+}
+
+// decodeWire reads a FeatureReply's payload, writing each row and label
+// straight to its original index. A count that does not match the request
+// poisons the decode.
+func (f *featureRows) decodeWire(r *wire.Reader) {
+	if r.Count(4) != len(f.idx)*f.dim {
+		r.Invalidate()
+		return
+	}
+	for _, i := range f.idx {
+		r.FillFloat32s(f.out[i*f.dim : (i+1)*f.dim])
+	}
+	n := r.Count(4)
+	switch {
+	case f.labels == nil && n == 0:
+	case f.labels != nil && n == len(f.idx):
+		for _, i := range f.idx {
+			f.labels[i] = int32(r.Uint32())
+		}
+	default:
+		r.Invalidate()
+	}
+	f.filled = r.Err() == nil
 }
 
 func (a *SourcesArgs) appendWire(b []byte) []byte {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -188,6 +189,73 @@ func TestWireMethodIDsStable(t *testing.T) {
 		}
 		if got := wireMethodID[ServiceName+"."+name]; got != id {
 			t.Errorf("wireMethodID[%s] = %d, want %d", name, got, id)
+		}
+	}
+}
+
+// TestFeatureReplyFastPaths: the server's store-backed encoding is
+// byte-identical to encoding the gathered matrix, and the client's scatter
+// decoding places every row and label where the plain decode's would go.
+func TestFeatureReplyFastPaths(t *testing.T) {
+	attrs := kvstore.New()
+	ids := []graph.VertexID{1, 2, 3, 4, 5}
+	attrs.SetFeatures(ids[0], []float32{1, 2, 3})
+	attrs.SetFeatures(ids[1], []float32{4})          // short row: zero tail
+	attrs.SetFeatures(ids[2], []float32{5, 6, 7, 8}) // long row: truncated
+	attrs.SetFeatures(ids[4], []float32{9, -10, 11}) // ids[3] has none
+	attrs.SetLabel(ids[0], 3)
+	attrs.SetLabel(ids[4], -1)
+	const dim = 3
+	idx := []int{4, 0, 3, 1, 2} // reply row j lands in row idx[j]
+	for _, withLabels := range []bool{false, true} {
+		plain := FeatureReply{Data: attrs.GatherFeatures(ids, dim)}
+		if withLabels {
+			plain.Labels = attrs.GatherLabels(ids)
+		}
+		want := plain.appendWire(nil)
+		lazy := FeatureReply{from: &featureSource{attrs: attrs, nodes: ids, dim: dim, labels: withLabels}}
+		if got := lazy.appendWire(nil); !bytes.Equal(got, want) {
+			t.Fatalf("labels=%v: store-backed encoding differs:\n got %x\nwant %x", withLabels, got, want)
+		}
+		if lazy.wireSize() < len(want) {
+			t.Fatalf("labels=%v: wireSize %d below encoded %d bytes", withLabels, lazy.wireSize(), len(want))
+		}
+
+		rows := &featureRows{out: make([]float32, len(ids)*dim), idx: idx, dim: dim}
+		if withLabels {
+			rows.labels = make([]int32, len(ids))
+		}
+		r := wire.NewReader(want)
+		rows.decodeWire(r)
+		if err := r.Done(); err != nil || !rows.filled {
+			t.Fatalf("labels=%v: scatter decode: %v (filled %v)", withLabels, err, rows.filled)
+		}
+		for j, i := range idx {
+			if !reflect.DeepEqual(rows.out[i*dim:(i+1)*dim], plain.Data[j*dim:(j+1)*dim]) {
+				t.Fatalf("labels=%v: row %d landed as %v, want %v", withLabels, j, rows.out[i*dim:(i+1)*dim], plain.Data[j*dim:(j+1)*dim])
+			}
+			if withLabels && rows.labels[i] != plain.Labels[j] {
+				t.Fatalf("labels=%v: label %d landed as %d, want %d", withLabels, j, rows.labels[i], plain.Labels[j])
+			}
+		}
+
+		// A reply that does not match the request poisons the decode: too
+		// few rows requested, or labels present when none were asked for
+		// (and absent when they were).
+		short := &featureRows{out: make([]float32, len(ids)*dim), idx: idx[:4], dim: dim}
+		r = wire.NewReader(want)
+		short.decodeWire(r)
+		if r.Done() == nil || short.filled {
+			t.Fatalf("labels=%v: row-count mismatch decoded cleanly", withLabels)
+		}
+		flipped := &featureRows{out: make([]float32, len(ids)*dim), idx: idx, dim: dim}
+		if !withLabels {
+			flipped.labels = make([]int32, len(ids))
+		}
+		r = wire.NewReader(want)
+		flipped.decodeWire(r)
+		if r.Done() == nil || flipped.filled {
+			t.Fatalf("labels=%v: label mismatch decoded cleanly", withLabels)
 		}
 	}
 }

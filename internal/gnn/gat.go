@@ -31,6 +31,10 @@ type GATLayer struct {
 	preMask       *Matrix // LeakyReLU gradient factors, n×fanout
 	outMask       *Matrix
 	fanout        int
+
+	// Buffers reused across steps.
+	out, dz, dHs, dHn, dSelf, dNeigh *Matrix
+	scratch                          []float64 // one group's logits or dα
 }
 
 // LeakyReLU negative slope.
@@ -52,7 +56,9 @@ func NewGATLayer(in, out int, act bool, rng *rand.Rand) *GATLayer {
 }
 
 // Forward combines self embeddings (n×in) with their fanout neighbors
-// ((n*fanout)×in) into attention-weighted representations (n×out).
+// ((n*fanout)×in) into attention-weighted representations (n×out). The
+// returned matrix is the layer's own buffer: the next Forward overwrites
+// it.
 func (l *GATLayer) Forward(xSelf, xNeigh *Matrix, fanout int) *Matrix {
 	if xNeigh.Rows != xSelf.Rows*fanout {
 		panic("gnn: GAT neighbor rows != n*fanout")
@@ -60,11 +66,20 @@ func (l *GATLayer) Forward(xSelf, xNeigh *Matrix, fanout int) *Matrix {
 	n := xSelf.Rows
 	o := l.W.Cols
 	l.xSelf, l.xNeigh, l.fanout = xSelf, xNeigh, fanout
-	l.hs = MatMul(xSelf, l.W)
-	l.hn = MatMul(xNeigh, l.W)
-	l.alpha = NewMatrix(n, fanout)
-	l.preMask = NewMatrix(n, fanout)
-	out := NewMatrix(n, o)
+	l.hs = reuse(l.hs, n, o)
+	l.hs.Zero()
+	MatMulAdd(l.hs, xSelf, l.W)
+	l.hn = reuse(l.hn, n*fanout, o)
+	l.hn.Zero()
+	MatMulAdd(l.hn, xNeigh, l.W)
+	l.alpha = reuse(l.alpha, n, fanout)
+	l.preMask = reuse(l.preMask, n, fanout)
+	l.out = reuse(l.out, n, o)
+	out := l.out
+	if cap(l.scratch) < fanout {
+		l.scratch = make([]float64, fanout)
+	}
+	logits := l.scratch[:fanout]
 	for i := 0; i < n; i++ {
 		hsRow := l.hs.Row(i)
 		var sSelf float32
@@ -72,7 +87,6 @@ func (l *GATLayer) Forward(xSelf, xNeigh *Matrix, fanout int) *Matrix {
 			sSelf += l.AS.Data[k] * hsRow[k]
 		}
 		// Attention logits with LeakyReLU.
-		logits := make([]float64, fanout)
 		maxv := math.Inf(-1)
 		for j := 0; j < fanout; j++ {
 			hnRow := l.hn.Row(i*fanout + j)
@@ -113,26 +127,43 @@ func (l *GATLayer) Forward(xSelf, xNeigh *Matrix, fanout int) *Matrix {
 		}
 	}
 	if l.Act {
-		l.outMask = ReluInPlace(out)
-	} else {
-		l.outMask = nil
+		l.outMask = reuse(l.outMask, n, o)
+		reluInto(out, l.outMask)
 	}
 	return out
 }
 
 // Backward consumes dL/doutput, accumulates parameter gradients, and
-// returns (dL/dxSelf, dL/dxNeigh).
+// returns (dL/dxSelf, dL/dxNeigh). The returned matrices are the layer's
+// own buffers: the next Backward overwrites them.
 func (l *GATLayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
+	l.BackwardWeights(dOut)
+	l.dSelf = reuse(l.dSelf, l.dHs.Rows, l.W.Rows)
+	l.dNeigh = reuse(l.dNeigh, l.dHn.Rows, l.W.Rows)
+	matMulBTInto(l.dSelf, l.dHs, l.W)
+	matMulBTInto(l.dNeigh, l.dHn, l.W)
+	return l.dSelf, l.dNeigh
+}
+
+// BackwardWeights is Backward for a layer whose inputs are constants, such
+// as a first layer over raw features: it accumulates the parameter
+// gradients and skips the two input-gradient products through W.
+func (l *GATLayer) BackwardWeights(dOut *Matrix) {
 	n := l.xSelf.Rows
 	o := l.W.Cols
 	f := l.fanout
 	dz := dOut
-	if l.outMask != nil {
-		dz = dOut.Clone()
-		MulMaskInPlace(dz, l.outMask)
+	if l.Act {
+		l.dz = reuse(l.dz, dOut.Rows, dOut.Cols)
+		maskInto(l.dz, dOut, l.outMask)
+		dz = l.dz
 	}
-	dHs := NewMatrix(n, o)
-	dHn := NewMatrix(n*f, o)
+	l.dHs = reuse(l.dHs, n, o)
+	l.dHs.Zero()
+	l.dHn = reuse(l.dHn, n*f, o)
+	l.dHn.Zero()
+	dHs, dHn := l.dHs, l.dHn
+	dAlpha := l.scratch[:f]
 	for i := 0; i < n; i++ {
 		dzRow := dz.Row(i)
 		// Bias and self projection.
@@ -141,7 +172,6 @@ func (l *GATLayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
 			dHs.Row(i)[k] += dzRow[k]
 		}
 		// dα_ij = <dz_i, hn_ij>; dHn via the attention weights.
-		dAlpha := make([]float64, f)
 		for j := 0; j < f; j++ {
 			hnRow := l.hn.Row(i*f + j)
 			a := l.alpha.At(i, j)
@@ -175,9 +205,8 @@ func (l *GATLayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
 		}
 	}
 	// Through the shared projection W.
-	AddInPlace(l.GW, MatMulAT(l.xSelf, dHs))
-	AddInPlace(l.GW, MatMulAT(l.xNeigh, dHn))
-	return MatMulBT(dHs, l.W), MatMulBT(dHn, l.W)
+	MatMulATAdd(l.GW, l.xSelf, dHs)
+	MatMulATAdd(l.GW, l.xNeigh, dHn)
 }
 
 // Params returns the trainable tensors.

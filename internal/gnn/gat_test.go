@@ -83,6 +83,17 @@ func TestGATGradientNumerically(t *testing.T) {
 	check("Bias", l.Bias, l.GBias)
 	check("xSelf", xs, dXs)
 	check("xNeigh", xn, dXn)
+
+	// The weights-only backward a first layer uses must accumulate the
+	// same parameter gradients.
+	l.ZeroGrads()
+	y = l.Forward(xs, xn, f)
+	_, dOut = SoftmaxCrossEntropy(y, labels)
+	l.BackwardWeights(dOut)
+	check("W (weights only)", l.W, l.GW)
+	check("AS (weights only)", l.AS, l.GAS)
+	check("AN (weights only)", l.AN, l.GAN)
+	check("Bias (weights only)", l.Bias, l.GBias)
 }
 
 func TestGATLearnsToAttend(t *testing.T) {

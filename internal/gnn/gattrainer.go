@@ -50,6 +50,15 @@ type GATTrainer struct {
 	Rel   graph.EdgeType
 	// Fanout applies to both hops.
 	Fanout int
+
+	work gatWork
+}
+
+// gatWork holds a GATTrainer's per-step tensors so that steps reuse them.
+// The Matrix values are row views into the batch or into h1.
+type gatWork struct {
+	selfX, neighX, h1Seeds, h1Hop1 Matrix
+	dLogits, dH1                   *Matrix
 }
 
 // NewGATTrainer wires an attention trainer to a graph view.
@@ -84,37 +93,34 @@ func (t *GATTrainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gnn: gather labels: %w", err)
 	}
-	nS, n1 := len(seeds)*dim, len(hop1)*dim
-	return &Batch{
-		Seeds: seeds, Hop1: hop1, Hop2: hop2, F1: t.Fanout, F2: t.Fanout,
-		XSeeds: NewMatrixFrom(len(seeds), dim, x[:nS]),
-		XHop1:  NewMatrixFrom(len(hop1), dim, x[nS:nS+n1]),
-		XHop2:  NewMatrixFrom(len(hop2), dim, x[nS+n1:]),
-		Labels: labels,
-	}, nil
+	return newBatch(seeds, hop1, hop2, t.Fanout, t.Fanout, dim, x, labels), nil
 }
 
 // Forward runs the 2-layer attention model, returning seed logits. Layer 1
 // attends jointly for [seeds; hop1] over their raw neighbor rows
 // [hop1; hop2]; layer 2 attends for the seeds over the hop-1 hidden states.
+// Both layer-1 inputs are row views of the batch; the logits are the
+// model's own buffer, overwritten by the next Forward.
 func (t *GATTrainer) Forward(b *Batch) *Matrix {
-	nSeeds := len(b.Seeds)
-	selfX := VStack(b.XSeeds, b.XHop1)
-	neighX := VStack(b.XHop1, b.XHop2)
-	h1 := t.Model.L1.Forward(selfX, neighX, t.Fanout)
-	h1Seeds := SliceRows(h1, 0, nSeeds)
-	h1Hop1 := SliceRows(h1, nSeeds, h1.Rows)
-	return t.Model.L2.Forward(h1Seeds, h1Hop1, t.Fanout)
+	w := &t.work
+	nS, n := len(b.Seeds), len(b.Seeds)+len(b.Hop1)
+	h1 := t.Model.L1.Forward(rowView(&w.selfX, b.X, 0, n), rowView(&w.neighX, b.X, nS, b.X.Rows), t.Fanout)
+	return t.Model.L2.Forward(rowView(&w.h1Seeds, h1, 0, nS), rowView(&w.h1Hop1, h1, nS, n), t.Fanout)
 }
 
 // TrainStep runs one forward/backward/update pass, returning the loss.
 func (t *GATTrainer) TrainStep(b *Batch) float64 {
 	t.Model.ZeroGrads()
 	logits := t.Forward(b)
-	loss, dLogits := SoftmaxCrossEntropy(logits, b.Labels)
-	dH1Seeds, dH1Hop1 := t.Model.L2.Backward(dLogits)
-	dH1 := VStack(dH1Seeds, dH1Hop1)
-	t.Model.L1.Backward(dH1)
+	w := &t.work
+	w.dLogits = reuse(w.dLogits, logits.Rows, logits.Cols)
+	loss := softmaxCrossEntropyInto(w.dLogits, logits, b.Labels)
+	dH1Seeds, dH1Hop1 := t.Model.L2.Backward(w.dLogits)
+	w.dH1 = reuse(w.dH1, dH1Seeds.Rows+dH1Hop1.Rows, dH1Seeds.Cols)
+	copy(w.dH1.Data, dH1Seeds.Data)
+	copy(w.dH1.Data[len(dH1Seeds.Data):], dH1Hop1.Data)
+	// Features are constants, so layer 1 needs only its weight gradients.
+	t.Model.L1.BackwardWeights(w.dH1)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }

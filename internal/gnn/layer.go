@@ -23,6 +23,10 @@ type SAGELayer struct {
 	// Forward cache.
 	xSelf, xNeigh *Matrix
 	mask          *Matrix
+
+	// Buffers reused across steps: the forward output, the masked output
+	// gradient and the input gradients.
+	out, dz, dSelf, dNeigh *Matrix
 }
 
 // NewSAGELayer returns a Glorot-initialized layer.
@@ -40,32 +44,54 @@ func NewSAGELayer(in, out int, act bool, rng *rand.Rand) *SAGELayer {
 
 // Forward combines the self embeddings (n×in) with the pooled neighbor
 // embeddings (n×in) into the next representations (n×out), caching
-// intermediates for Backward.
+// intermediates for Backward. The returned matrix is the layer's own
+// buffer: the next Forward overwrites it.
 func (l *SAGELayer) Forward(xSelf, xNeigh *Matrix) *Matrix {
 	l.xSelf, l.xNeigh = xSelf, xNeigh
-	z := MatMul(xSelf, l.Wself)
-	AddInPlace(z, MatMul(xNeigh, l.Wneigh))
+	z := reuse(l.out, xSelf.Rows, l.Wself.Cols)
+	l.out = z
+	z.Zero()
+	MatMulAdd(z, xSelf, l.Wself)
+	MatMulAdd(z, xNeigh, l.Wneigh)
 	AddBiasRow(z, l.Bias)
 	if l.Act {
-		l.mask = ReluInPlace(z)
-	} else {
-		l.mask = nil
+		l.mask = reuse(l.mask, z.Rows, z.Cols)
+		reluInto(z, l.mask)
 	}
 	return z
 }
 
 // Backward consumes dL/doutput and returns (dL/dxSelf, dL/dxNeigh),
-// accumulating the weight gradients.
+// accumulating the weight gradients. The returned matrices are the layer's
+// own buffers: the next Backward overwrites them.
 func (l *SAGELayer) Backward(dOut *Matrix) (dSelf, dNeigh *Matrix) {
+	dz := l.weightGrads(dOut)
+	l.dSelf = reuse(l.dSelf, dz.Rows, l.Wself.Rows)
+	l.dNeigh = reuse(l.dNeigh, dz.Rows, l.Wneigh.Rows)
+	matMulBTInto(l.dSelf, dz, l.Wself)
+	matMulBTInto(l.dNeigh, dz, l.Wneigh)
+	return l.dSelf, l.dNeigh
+}
+
+// BackwardWeights is Backward for a layer whose inputs are constants, such
+// as a first layer over raw features: it accumulates the weight gradients
+// and skips the two input-gradient products, a third of the layer's
+// multiply-adds.
+func (l *SAGELayer) BackwardWeights(dOut *Matrix) { l.weightGrads(dOut) }
+
+// weightGrads accumulates the weight gradients and returns dL/dz, the
+// output gradient behind the ReLU.
+func (l *SAGELayer) weightGrads(dOut *Matrix) *Matrix {
 	dz := dOut
-	if l.mask != nil {
-		dz = dOut.Clone()
-		MulMaskInPlace(dz, l.mask)
+	if l.Act {
+		l.dz = reuse(l.dz, dOut.Rows, dOut.Cols)
+		maskInto(l.dz, dOut, l.mask)
+		dz = l.dz
 	}
-	AddInPlace(l.GWself, MatMulAT(l.xSelf, dz))
-	AddInPlace(l.GWneigh, MatMulAT(l.xNeigh, dz))
-	AddInPlace(l.GBias, ColSum(dz))
-	return MatMulBT(dz, l.Wself), MatMulBT(dz, l.Wneigh)
+	MatMulATAdd(l.GWself, l.xSelf, dz)
+	MatMulATAdd(l.GWneigh, l.xNeigh, dz)
+	addColSum(l.GBias, dz)
+	return dz
 }
 
 // Params returns the trainable tensors.

@@ -43,6 +43,10 @@ type LinkTrainer struct {
 	// NegativePool is the candidate set for negative destinations.
 	NegativePool []graph.VertexID
 	rng          *rand.Rand
+
+	// Per-step tensors reused across steps.
+	xSelf, xNeigh Matrix
+	pooled, dh    *Matrix
 }
 
 // NewLinkTrainer wires a link-prediction trainer. negativePool supplies the
@@ -65,7 +69,8 @@ func NewLinkTrainer(model *LinkModel, v view.GraphView,
 // The self and neighbor feature pulls share one view call, so a remote
 // backend pays a single feature fan-out per step. Forward caches live in
 // the encoder, so callers must embed all nodes of a step in ONE call for
-// backprop to see them.
+// backprop to see them. The result is the encoder's own buffer,
+// overwritten by the next embed.
 func (t *LinkTrainer) embed(nodes []graph.VertexID) (*Matrix, error) {
 	neigh, err := t.View.SampleNeighbors(nodes, t.Rel, t.Fanout)
 	if err != nil {
@@ -78,10 +83,11 @@ func (t *LinkTrainer) embed(nodes []graph.VertexID) (*Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gnn: gather features: %w", err)
 	}
-	n := len(nodes) * t.Model.Dim
-	xSelf := NewMatrixFrom(len(nodes), t.Model.Dim, x[:n])
-	xNeigh := NewMatrixFrom(len(neigh), t.Model.Dim, x[n:])
-	return t.Model.Enc.Forward(xSelf, MeanPool(xNeigh, t.Fanout)), nil
+	xs := NewMatrixFrom(len(all), t.Model.Dim, x)
+	rowView(&t.xNeigh, xs, len(nodes), xs.Rows)
+	t.pooled = reuse(t.pooled, len(nodes), t.Model.Dim)
+	meanPoolInto(t.pooled, &t.xNeigh, t.Fanout)
+	return t.Model.Enc.Forward(rowView(&t.xSelf, xs, 0, len(nodes)), t.pooled), nil
 }
 
 // TrainStep trains on a batch of positive edges plus one uniform negative
@@ -112,7 +118,9 @@ func (t *LinkTrainer) TrainStep(positives []graph.Edge) (float64, error) {
 
 	// Pair scores s = <h_src, h_dst>; logistic loss with labels 1 (pos)
 	// and 0 (neg). dL/dh accumulates into one gradient matrix.
-	dh := NewMatrix(h.Rows, d)
+	t.dh = reuse(t.dh, h.Rows, d)
+	dh := t.dh
+	dh.Zero()
 	loss := 0.0
 	inv := 1 / float64(2*n)
 	for i := 0; i < 2*n; i++ {
@@ -142,7 +150,8 @@ func (t *LinkTrainer) TrainStep(positives []graph.Edge) (float64, error) {
 			dd[k] += g * hs[k]
 		}
 	}
-	t.Model.Enc.Backward(dh)
+	// The encoder reads raw features, so only its weight gradients matter.
+	t.Model.Enc.BackwardWeights(dh)
 	t.Opt.Step(t.Model.Enc.Params(), t.Model.Enc.Grads())
 	return loss * inv, nil // mean over the 2n scored pairs
 }

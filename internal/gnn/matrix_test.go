@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,7 +33,8 @@ func TestMatMulTransposes(t *testing.T) {
 		}
 	}
 	want := MatMul(at, b)
-	got := MatMulAT(a, b)
+	got := NewMatrix(3, 5)
+	MatMulATAdd(got, a, b)
 	for i := range want.Data {
 		if !approx(float64(got.Data[i]), float64(want.Data[i]), 1e-5) {
 			t.Fatalf("MatMulAT[%d] = %v, want %v", i, got.Data[i], want.Data[i])
@@ -47,7 +49,8 @@ func TestMatMulTransposes(t *testing.T) {
 		}
 	}
 	want2 := MatMul(a, b2t)
-	got2 := MatMulBT(a, b2)
+	got2 := NewMatrix(4, 5)
+	matMulBTInto(got2, a, b2)
 	for i := range want2.Data {
 		if !approx(float64(got2.Data[i]), float64(want2.Data[i]), 1e-5) {
 			t.Fatalf("MatMulBT[%d] = %v, want %v", i, got2.Data[i], want2.Data[i])
@@ -96,7 +99,8 @@ func TestMeanPoolRoundTrip(t *testing.T) {
 		pooled.At(1, 0) != 6 || pooled.At(1, 1) != 7 {
 		t.Fatalf("MeanPool = %v", pooled.Data)
 	}
-	back := MeanPoolBackward(pooled, 2)
+	back := NewMatrix(pooled.Rows*2, pooled.Cols)
+	meanPoolBackwardInto(back, pooled, 2)
 	if back.Rows != 4 || back.At(0, 0) != 1 || back.At(3, 1) != 3.5 {
 		t.Fatalf("MeanPoolBackward = %v", back.Data)
 	}
@@ -198,6 +202,16 @@ func TestSAGELayerGradientNumerically(t *testing.T) {
 	check("Bias", l.Bias, l.GBias)
 	check("xSelf", xs, dXs)
 	check("xNeigh", xn, dXn)
+
+	// The weights-only backward a first layer uses must accumulate the
+	// same weight gradients.
+	l.ZeroGrads()
+	out = l.Forward(xs, xn)
+	_, dOut = SoftmaxCrossEntropy(out, labels)
+	l.BackwardWeights(dOut)
+	check("Wself (weights only)", l.Wself, l.GWself)
+	check("Wneigh (weights only)", l.Wneigh, l.GWneigh)
+	check("Bias (weights only)", l.Bias, l.GBias)
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
@@ -330,4 +344,101 @@ func TestDropout(t *testing.T) {
 		}
 	}()
 	Dropout(m, 1, rng)
+}
+
+// naiveMatMulAT is the textbook aᵀ·b triple loop, kept as the reference
+// the blocked kernels are checked against.
+func naiveMatMulAT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Cols, b.Cols)
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for k := 0; k < a.Rows; k++ {
+				s += a.At(k, i) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// naiveMatMul is the textbook a·b triple loop.
+func naiveMatMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// naiveMatMulBT is the textbook a·bᵀ triple loop.
+func naiveMatMulBT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float32
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+func sameMatrix(t *testing.T, name string, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if !approx(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {
+			t.Fatalf("%s[%d] = %v, want %v", name, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestKernelsMatchNaive checks the blocked kernels against the textbook
+// loops on shapes whose row count and inner dimension are and are not
+// multiples of the block size, including empty and 1×1 operands. The
+// accumulate forms must add to what dst already holds.
+func TestKernelsMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, sh := range []struct{ m, k, n int }{
+		{1, 1, 1}, {0, 4, 3}, {4, 0, 3}, {3, 5, 0}, {4, 4, 4}, {8, 16, 32},
+		{7, 5, 3}, {5, 7, 2}, {13, 9, 6}, {2, 3, 11}, {66, 64, 32},
+	} {
+		name := fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n)
+		a := NewMatrix(sh.m, sh.k).Glorot(rng)
+		b := NewMatrix(sh.k, sh.n).Glorot(rng)
+		prior := NewMatrix(sh.m, sh.n).Glorot(rng)
+
+		got := prior.Clone()
+		MatMulAdd(got, a, b)
+		want := naiveMatMul(a, b)
+		AddInPlace(want, prior)
+		sameMatrix(t, "MatMulAdd "+name, got, want)
+		sameMatrix(t, "MatMul "+name, MatMul(a, b), naiveMatMul(a, b))
+
+		// aᵀ·b with a as k'×m' = (m×k) and b as (m×n): shared dim m.
+		c := NewMatrix(sh.m, sh.n).Glorot(rng)
+		priorT := NewMatrix(sh.k, sh.n).Glorot(rng)
+		gotT := priorT.Clone()
+		MatMulATAdd(gotT, a, c)
+		wantT := naiveMatMulAT(a, c)
+		AddInPlace(wantT, priorT)
+		sameMatrix(t, "MatMulATAdd "+name, gotT, wantT)
+
+		// a·bᵀ with b as (n×k): shared dim k.
+		d := NewMatrix(sh.n, sh.k).Glorot(rng)
+		gotBT := NewMatrix(sh.m, sh.n).Glorot(rng) // overwritten, not accumulated
+		matMulBTInto(gotBT, a, d)
+		sameMatrix(t, "matMulBTInto "+name, gotBT, naiveMatMulBT(a, d))
+	}
 }

@@ -50,10 +50,27 @@ type Batch struct {
 	Hop2   []graph.VertexID // len(Seeds) * F1 * F2
 	F1, F2 int
 
+	// X holds every gathered feature row, laid out [seeds; hop1; hop2];
+	// XSeeds, XHop1 and XHop2 are row views of it.
+	X      *Matrix
 	XSeeds *Matrix
 	XHop1  *Matrix
 	XHop2  *Matrix
 	Labels []int32
+}
+
+// newBatch wraps the gathered rows x ([seeds; hop1; hop2], dim columns)
+// as a batch whose X* matrices share x's storage.
+func newBatch(seeds, hop1, hop2 []graph.VertexID, f1, f2, dim int, x []float32, labels []int32) *Batch {
+	nS, n1 := len(seeds)*dim, len(hop1)*dim
+	return &Batch{
+		Seeds: seeds, Hop1: hop1, Hop2: hop2, F1: f1, F2: f2,
+		X:      NewMatrixFrom(len(seeds)+len(hop1)+len(hop2), dim, x),
+		XSeeds: NewMatrixFrom(len(seeds), dim, x[:nS]),
+		XHop1:  NewMatrixFrom(len(hop1), dim, x[nS:nS+n1]),
+		XHop2:  NewMatrixFrom(len(hop2), dim, x[nS+n1:]),
+		Labels: labels,
+	}
 }
 
 // Trainer drives mini-batch GNN training against a GraphView — it never
@@ -67,6 +84,15 @@ type Trainer struct {
 	Rel graph.EdgeType
 	// F1, F2 are the per-hop fanouts.
 	F1, F2 int
+
+	work sageWork
+}
+
+// sageWork holds a Trainer's per-step tensors so that steps reuse them.
+// The Matrix values are row views into the batch or into other buffers.
+type sageWork struct {
+	selfX, neighSeeds, neighHop1, h1Seeds, h1Hop1, dH1Hop1 Matrix
+	neighX, pooled, dLogits, dH1                           *Matrix
 }
 
 // NewTrainer wires a trainer to a graph view.
@@ -105,29 +131,26 @@ func (t *Trainer) SampleBatch(seeds []graph.VertexID) (*Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gnn: gather labels: %w", err)
 	}
-	nS, n1 := len(seeds)*dim, len(hop1)*dim
-	return &Batch{
-		Seeds: seeds, Hop1: hop1, Hop2: hop2, F1: t.F1, F2: t.F2,
-		XSeeds: NewMatrixFrom(len(seeds), dim, x[:nS]),
-		XHop1:  NewMatrixFrom(len(hop1), dim, x[nS:nS+n1]),
-		XHop2:  NewMatrixFrom(len(hop2), dim, x[nS+n1:]),
-		Labels: labels,
-	}, nil
+	return newBatch(seeds, hop1, hop2, t.F1, t.F2, dim, x, labels), nil
 }
 
 // Forward runs the 2-layer model on a batch, returning seed logits.
 //
 // Layer 1 is applied jointly to [seeds; hop1] (self inputs) against their
 // pooled children ([hop1 means; hop2 means]); layer 2 then combines the
-// seeds' hidden states with the pooled hop-1 hidden states.
+// seeds' hidden states with the pooled hop-1 hidden states. The self
+// inputs are a row view of the batch, and every other tensor lives in the
+// trainer's workspace, so the logits are overwritten by the next Forward.
 func (t *Trainer) Forward(b *Batch) *Matrix {
-	nSeeds := len(b.Seeds)
-	selfX := VStack(b.XSeeds, b.XHop1)
-	neighX := VStack(MeanPool(b.XHop1, b.F1), MeanPool(b.XHop2, b.F2))
-	h1 := t.Model.L1.Forward(selfX, neighX)
-	h1Seeds := SliceRows(h1, 0, nSeeds)
-	h1Hop1 := SliceRows(h1, nSeeds, h1.Rows)
-	return t.Model.L2.Forward(h1Seeds, MeanPool(h1Hop1, b.F1))
+	w := &t.work
+	nS, n := len(b.Seeds), len(b.Seeds)+len(b.Hop1)
+	w.neighX = reuse(w.neighX, n, b.X.Cols)
+	meanPoolInto(rowView(&w.neighSeeds, w.neighX, 0, nS), b.XHop1, b.F1)
+	meanPoolInto(rowView(&w.neighHop1, w.neighX, nS, n), b.XHop2, b.F2)
+	h1 := t.Model.L1.Forward(rowView(&w.selfX, b.X, 0, n), w.neighX)
+	w.pooled = reuse(w.pooled, nS, h1.Cols)
+	meanPoolInto(w.pooled, rowView(&w.h1Hop1, h1, nS, n), b.F1)
+	return t.Model.L2.Forward(rowView(&w.h1Seeds, h1, 0, nS), w.pooled)
 }
 
 // TrainStep runs one forward/backward/update pass and returns the batch
@@ -135,19 +158,23 @@ func (t *Trainer) Forward(b *Batch) *Matrix {
 func (t *Trainer) TrainStep(b *Batch) float64 {
 	t.Model.ZeroGrads()
 	logits := t.Forward(b)
-	loss, dLogits := SoftmaxCrossEntropy(logits, b.Labels)
-	t.backward(b, dLogits)
+	w := &t.work
+	w.dLogits = reuse(w.dLogits, logits.Rows, logits.Cols)
+	loss := softmaxCrossEntropyInto(w.dLogits, logits, b.Labels)
+	t.backward(b, w.dLogits)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }
 
 func (t *Trainer) backward(b *Batch, dLogits *Matrix) {
+	w := &t.work
+	nS := len(b.Seeds)
 	dH1Seeds, dH1Hop1Pooled := t.Model.L2.Backward(dLogits)
-	dH1Hop1 := MeanPoolBackward(dH1Hop1Pooled, b.F1)
-	dH1 := VStack(dH1Seeds, dH1Hop1)
-	// Layer-1 input gradients are not needed (features are constants), but
-	// Backward also accumulates the layer-1 weight gradients.
-	t.Model.L1.Backward(dH1)
+	w.dH1 = reuse(w.dH1, nS+len(b.Hop1), dH1Seeds.Cols)
+	copy(w.dH1.Data, dH1Seeds.Data)
+	meanPoolBackwardInto(rowView(&w.dH1Hop1, w.dH1, nS, w.dH1.Rows), dH1Hop1Pooled, b.F1)
+	// Features are constants, so layer 1 needs only its weight gradients.
+	t.Model.L1.BackwardWeights(w.dH1)
 }
 
 // Loss computes the batch loss without updating parameters.

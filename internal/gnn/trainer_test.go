@@ -159,12 +159,32 @@ func TestEpochResultString(t *testing.T) {
 	}
 }
 
+// TestTrainStepAllocsIndependentOfBatch: a steady-state TrainStep reuses
+// the trainer's workspace, so it allocates a small constant number of
+// objects whatever the batch size.
+func TestTrainStepAllocsIndependentOfBatch(t *testing.T) {
+	store, attrs, ids := buildClassGraph(t, 600, 4)
+	tr := NewTrainer(NewModel(8, 16, 4, rand.New(rand.NewSource(5))), testView(store, attrs, 2, 1), 0, 10, 5, 0.01)
+	var allocs []float64
+	for _, n := range []int{8, 64, 256} {
+		batch := mustBatch(t, tr.SampleBatch, ids[:n])
+		tr.TrainStep(batch) // size the workspace
+		allocs = append(allocs, testing.AllocsPerRun(10, func() { tr.TrainStep(batch) }))
+	}
+	for i, a := range allocs {
+		if a > 4 || a != allocs[0] {
+			t.Fatalf("TrainStep allocations per batch size = %v (index %d), want one small constant", allocs, i)
+		}
+	}
+}
+
 func BenchmarkGNNTrainStep(b *testing.B) {
 	store, attrs, ids := buildClassGraph(b, 1000, 4)
 	rng := rand.New(rand.NewSource(8))
 	model := NewModel(8, 32, 4, rng)
 	tr := NewTrainer(model, testView(store, attrs, 4, 1), 0, 10, 5, 0.01)
 	batch := mustBatch(b, tr.SampleBatch, ids[:64])
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.TrainStep(batch)

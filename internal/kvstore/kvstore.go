@@ -6,6 +6,9 @@
 package kvstore
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"sync"
 
 	"platod2gl/internal/graph"
@@ -86,6 +89,38 @@ func (s *Store) GatherFeatures(ids []graph.VertexID, dim int) []float32 {
 		}
 	}
 	return out
+}
+
+// AppendFeatures appends the matrix GatherFeatures(ids, dim) would return
+// to b as little-endian float32 bits, copying each row straight from the
+// store. A server encodes a feature reply this way without first
+// materializing the matrix.
+func (s *Store) AppendFeatures(b []byte, ids []graph.VertexID, dim int) []byte {
+	rowBytes := 4 * dim
+	b = slices.Grow(b, len(ids)*rowBytes)
+	for _, id := range ids {
+		f, _ := s.Features(id)
+		f = f[:min(len(f), dim)]
+		n := len(b)
+		b = b[:n+rowBytes]
+		row := b[n:]
+		for i, x := range f {
+			binary.LittleEndian.PutUint32(row[4*i:], math.Float32bits(x))
+		}
+		clear(row[4*len(f):])
+	}
+	return b
+}
+
+// AppendLabels appends the vector GatherLabels(ids) would return to b as
+// little-endian int32s.
+func (s *Store) AppendLabels(b []byte, ids []graph.VertexID) []byte {
+	b = slices.Grow(b, 4*len(ids))
+	for _, id := range ids {
+		l, _ := s.Label(id)
+		b = binary.LittleEndian.AppendUint32(b, uint32(l))
+	}
+	return b
 }
 
 // GatherLabels copies the labels of ids into a dense vector. Vertices

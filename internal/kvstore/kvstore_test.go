@@ -1,6 +1,9 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 
@@ -122,5 +125,35 @@ func TestEdgeFeatures(t *testing.T) {
 	s.DeleteEdgeFeatures(k)
 	if _, ok := s.EdgeFeatures(k); ok {
 		t.Fatal("edge features survived delete")
+	}
+}
+
+// TestAppendFeaturesMatchesGather: the appended bytes are exactly the
+// little-endian encoding of GatherFeatures' and GatherLabels' results,
+// including zero rows for missing vertices and the zero tail or cut of a
+// stored row shorter or longer than dim.
+func TestAppendFeaturesMatchesGather(t *testing.T) {
+	s := New()
+	ids := []graph.VertexID{10, 11, 12, 13}
+	s.SetFeatures(ids[0], []float32{1, -2, 3})
+	s.SetFeatures(ids[1], []float32{4})
+	s.SetFeatures(ids[3], []float32{5, 6, 7, 8})
+	s.SetLabel(ids[1], 9)
+	s.SetLabel(ids[3], -4)
+	const dim = 3
+	var want []byte
+	for _, x := range s.GatherFeatures(ids, dim) {
+		want = binary.LittleEndian.AppendUint32(want, math.Float32bits(x))
+	}
+	prefix := []byte{0xaa}
+	if got := s.AppendFeatures(prefix, ids, dim); !bytes.Equal(got, append(prefix, want...)) {
+		t.Fatalf("AppendFeatures = %x, want %x", got, append(prefix, want...))
+	}
+	want = want[:0]
+	for _, l := range s.GatherLabels(ids) {
+		want = binary.LittleEndian.AppendUint32(want, uint32(l))
+	}
+	if got := s.AppendLabels(nil, ids); !bytes.Equal(got, want) {
+		t.Fatalf("AppendLabels = %x, want %x", got, want)
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -169,15 +170,17 @@ func WriteFrame(w io.Writer, payload []byte) error {
 }
 
 // frameChunk is the largest frame payload ReadFrame allocates up-front on
-// the length prefix alone. Larger frames grow geometrically as bytes
-// actually arrive, so a forged header claiming a near-MaxFrame length
-// costs one chunk of memory, not the claimed gigabyte.
+// the length prefix alone. Beyond it, ReadFrame reads straight into a
+// buffer only when the pool already holds one big enough; otherwise the
+// frame grows geometrically as bytes actually arrive, so a forged header
+// claiming a near-MaxFrame length costs one chunk of memory, not the
+// claimed gigabyte.
 const frameChunk = 1 << 20
 
 // ReadFrame reads one frame's payload into a buffer from GetBuf (return it
 // with PutBuf). A length prefix beyond MaxFrame is rejected without
-// allocating, and memory for a large frame is committed only as its bytes
-// stream in.
+// allocating, and fresh memory for a large frame is committed only as its
+// bytes stream in.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -187,60 +190,88 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	if n <= frameChunk {
-		buf := GetBuf(n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			PutBuf(buf)
-			return nil, err
-		}
-		return buf, nil
+	buf, ok := pooledBuf(n)
+	if !ok {
+		buf = GetBuf(min(n, frameChunk))
 	}
-	buf := make([]byte, frameChunk)
 	filled := 0
 	for {
 		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			PutBuf(buf)
 			return nil, err
 		}
 		filled = len(buf)
 		if filled == n {
 			return buf, nil
 		}
-		grow := filled * 2
-		if grow > n {
-			grow = n
-		}
-		next := make([]byte, grow)
+		next := GetBuf(min(2*filled, n))
 		copy(next, buf)
+		PutBuf(buf)
 		buf = next
 	}
 }
 
-// Buffer pool for frame scratch on both sides of every call. Buffers above
-// maxPooledBuf are left to the GC so one snapshot transfer does not pin a
-// gigabyte in the pool.
-const maxPooledBuf = 1 << 20
+// Frame buffers are pooled in power-of-two size classes from 4 KiB to
+// maxPooledBuf, so a 2 MiB feature reply reuses a 2 MiB buffer instead of
+// growing a small one by append on every call. Pool i holds buffers of
+// capacity at least 4 KiB << i. Buffers above maxPooledBuf are left to the
+// GC so one snapshot transfer does not pin a gigabyte in the pool.
+const (
+	minBufShift  = 12
+	maxBufShift  = 24
+	maxPooledBuf = 1 << maxBufShift
+)
 
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+var bufPools [maxBufShift - minBufShift + 1]sync.Pool
 
-// GetBuf returns a pooled buffer of length n (zero-length when building an
-// append-style frame).
-func GetBuf(n int) []byte {
-	bp := bufPool.Get().(*[]byte)
-	b := *bp
-	if cap(b) < n {
-		bufPool.Put(bp)
-		return make([]byte, n)
+// sizeClass returns the pool whose buffers all hold n bytes: the smallest
+// power of two ≥ n, counted from 4 KiB.
+func sizeClass(n int) int {
+	if n <= 1<<minBufShift {
+		return 0
 	}
-	return b[:n]
+	return bits.Len(uint(n-1)) - minBufShift
 }
 
-// PutBuf returns a buffer obtained from GetBuf (or grown from one).
+// pooledBuf returns a buffer of length n if the pool holds one, without
+// allocating otherwise.
+func pooledBuf(n int) ([]byte, bool) {
+	c := sizeClass(n)
+	if c >= len(bufPools) {
+		return nil, false
+	}
+	bp, ok := bufPools[c].Get().(*[]byte)
+	if !ok {
+		return nil, false
+	}
+	return (*bp)[:n], true
+}
+
+// GetBuf returns a pooled buffer of length n. Append-style frame builders
+// take GetBuf(size)[:0], with size their encoded length or an upper bound
+// on it, so the frame is built without growing.
+func GetBuf(n int) []byte {
+	if b, ok := pooledBuf(n); ok {
+		return b
+	}
+	if c := sizeClass(n); c < len(bufPools) {
+		return make([]byte, n, 1<<(c+minBufShift))
+	}
+	return make([]byte, n)
+}
+
+// PutBuf returns a buffer obtained from GetBuf (or grown from one) to the
+// largest size class its capacity covers.
 func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
+	if cap(b) < 1<<minBufShift {
+		return
+	}
+	c := bits.Len(uint(cap(b))) - 1 - minBufShift
+	if c >= len(bufPools) {
 		return
 	}
 	b = b[:0]
-	bufPool.Put(&b)
+	bufPools[c].Put(&b)
 }
 
 // --- Append-style encoding primitives -----------------------------------
@@ -475,6 +506,20 @@ func (r *Reader) Uint64s() []uint64 {
 		r.off += 8
 	}
 	return v
+}
+
+// FillFloat32s reads len(dst) fixed 4-byte elements into dst — one row of
+// a counted matrix, decoded straight into its destination.
+func (r *Reader) FillFloat32s(dst []float32) {
+	if r.err != nil || r.off+4*len(dst) > len(r.b) {
+		r.fail()
+		return
+	}
+	src := r.b[r.off : r.off+4*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	r.off += len(src)
 }
 
 // Float32s reads a count-prefixed bulk slice of fixed 4-byte elements.

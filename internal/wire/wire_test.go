@@ -163,6 +163,80 @@ func TestReadFrameForgedLengthBounded(t *testing.T) {
 	}
 }
 
+// TestReadFramePoolsLargeFrames: frames larger than frameChunk come back
+// to a size-classed pool, so reading 2 MiB frames in a row reuses one
+// buffer instead of growing a fresh one each time.
+func TestReadFramePoolsLargeFrames(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const size, reads = 2 << 20, 20
+	payload := bytes.Repeat([]byte{KindResponse, 7}, size/2)
+	var stream bytes.Buffer
+	for i := 0; i <= reads; i++ {
+		if err := WriteFrame(&stream, payload); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+	}
+	r := bytes.NewReader(stream.Bytes())
+	read := func() []byte {
+		got, err := ReadFrame(r)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("ReadFrame = %d bytes, %v", len(got), err)
+		}
+		return got
+	}
+	first := read()
+	PutBuf(first)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		PutBuf(read())
+	}
+	runtime.ReadMemStats(&after)
+	// A miss costs at least one fresh 2 MiB buffer; allow two for pool
+	// shuffles across processors.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*size {
+		t.Fatalf("%d reads of a %d-byte frame allocated %d bytes; want the pooled buffer reused", reads, size, grew)
+	}
+}
+
+// TestReadFrameForgedLengthCommitsOneChunk: a header claiming 64 MiB —
+// more than any pooled buffer — followed by 10 bytes commits at most one
+// frameChunk before the missing bytes fail the read.
+func TestReadFrameForgedLengthCommitsOneChunk(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], 64<<20)
+	stream := append(hdr[:], make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadFrame(bytes.NewReader(stream)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ReadFrame(forged length) = %v, want ErrUnexpectedEOF", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > frameChunk+4096 {
+		t.Fatalf("forged 64 MiB length prefix allocated %d bytes; want ≤ one %d-byte chunk", grew, frameChunk)
+	}
+}
+
+func TestFillFloat32s(t *testing.T) {
+	want := []float32{1.5, -2, 0, float32(math.Inf(1))}
+	r := NewReader(AppendFloat32s(nil, want))
+	if n := r.Count(4); n != len(want) {
+		t.Fatalf("count = %d", n)
+	}
+	got := make([]float32, len(want))
+	r.FillFloat32s(got[:1])
+	r.FillFloat32s(got[1:])
+	if err := r.Done(); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("FillFloat32s = %v, %v; want %v", got, err, want)
+	}
+	r.FillFloat32s(got[:1]) // past the end
+	if r.Err() == nil {
+		t.Fatal("FillFloat32s past the end did not fail")
+	}
+}
+
 func TestPrimitivesRoundTrip(t *testing.T) {
 	var b []byte
 	b = AppendUvarint(b, 0)
@@ -309,6 +383,7 @@ func FuzzReader(f *testing.F) {
 		r.Bytes()
 		r.Uint64s()
 		r.Float32s()
+		r.FillFloat32s(make([]float32, 3))
 		r.Int32s()
 		r.Bools()
 		_ = r.Done()
