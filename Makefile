@@ -65,10 +65,11 @@ integrity-chaos-smoke: build
 overload-chaos: build
 	$(GO) test -race -count=2 -run 'TestChaosOverloadBrownout|TestOverloadGoroutineLeakRegression' ./internal/cluster/
 
-# One fast overload pass for PR CI: the brownout drill (admission gate,
-# deadline propagation, shed/retry cooperation, and migration under load).
+# The overload pass for PR CI: the brownout drill (admission gate,
+# deadline propagation, shed/retry cooperation, and migration under load),
+# three times, so that a one-in-three flake shows up on a PR.
 overload-chaos-smoke: build
-	$(GO) test -race -count=1 -run 'TestChaosOverloadBrownout' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestChaosOverloadBrownout' ./internal/cluster/
 
 tier1: test race
 

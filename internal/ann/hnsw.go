@@ -8,6 +8,11 @@
 //   - Search takes a read lock and walks an append-mostly node arena —
 //     concurrent queries never block each other; mutations (insert, delete,
 //     compact) take the write lock.
+//   - The beam search keeps its candidate frontier as a min-heap and its ef
+//     best results as a bounded max-heap, so each visited neighbour costs
+//     O(log ef). Its visited marks and both heaps come from a per-index pool
+//     of epoch-stamped scratch buffers: each concurrent search holds its
+//     own, and a search allocates nothing that grows with the index.
 //   - The graph is dynamic (the paper's setting): vertices appear, their
 //     embeddings go stale as edges stream in, and the refresher re-embeds
 //     them. Insert with an existing ID is therefore an upsert — the old node
@@ -27,7 +32,8 @@ package ann
 import (
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -96,6 +102,12 @@ type Index struct {
 	entry      int32 // arena offset of the entry point, -1 when empty
 	maxLevel   int
 	tombstones int
+
+	// idle holds scratch buffers between searches and inserts, at most
+	// maxIdle of them: one per processor that can be searching at once.
+	scratchMu sync.Mutex
+	idle      []*searchScratch
+	maxIdle   int
 }
 
 // New returns an empty index for cfg.Dim-dimensional vectors.
@@ -105,10 +117,11 @@ func New(cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("ann: Config.Dim must be positive, got %d", cfg.Dim)
 	}
 	return &Index{
-		cfg:   cfg,
-		mL:    1 / math.Log(float64(cfg.M)),
-		byID:  make(map[uint64]uint32),
-		entry: -1,
+		cfg:     cfg,
+		mL:      1 / math.Log(float64(cfg.M)),
+		byID:    make(map[uint64]uint32),
+		entry:   -1,
+		maxIdle: runtime.GOMAXPROCS(0),
 	}, nil
 }
 
@@ -138,13 +151,27 @@ func (ix *Index) levelFor(id uint64) int {
 }
 
 // sqDist returns the squared L2 distance between two equal-length vectors.
+// Four independent accumulators let the adds overlap instead of waiting on
+// one serial dependency chain.
 func sqDist(a, b []float32) float32 {
-	var s float32
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0 := a[i] - b[i]
+		d1 := a[i+1] - b[i+1]
+		d2 := a[i+2] - b[i+2]
+		d3 := a[i+3] - b[i+3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
 	}
-	return s
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s0 += d * d
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // cand is one (node, distance) pair in a search frontier.
@@ -153,8 +180,19 @@ type cand struct {
 	dist float32
 }
 
-// candHeap is a min-heap by distance (closest first) over cands, inlined
-// rather than container/heap to keep the search hot path allocation-free.
+// byDist orders cands closest first. It compares with < and > directly:
+// cmp.Compare's NaN handling is a measurable share of the sort.
+func byDist(a, b cand) int {
+	switch {
+	case a.dist < b.dist:
+		return -1
+	case a.dist > b.dist:
+		return 1
+	}
+	return 0
+}
+
+// candHeap is a min-heap by distance (closest first): the search frontier.
 type candHeap []cand
 
 func (h *candHeap) push(c cand) {
@@ -195,16 +233,73 @@ func (h *candHeap) pop() cand {
 	return top
 }
 
-// farthest returns the index of the farthest element (linear scan; the
-// result set is at most ef entries).
-func farthest(set []cand) int {
-	fi := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].dist > set[fi].dist {
-			fi = i
+// farHeap is a max-heap by distance (farthest first): the beam search's ef
+// best results, whose root is the bound a new candidate must beat.
+type farHeap []cand
+
+func (h *farHeap) push(c cand) {
+	*h = append(*h, c)
+	i := len(*h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if (*h)[p].dist >= (*h)[i].dist {
+			break
 		}
+		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
+		i = p
 	}
-	return fi
+}
+
+// replaceTop overwrites the farthest element with c and restores the heap.
+func (h farHeap) replaceTop(c cand) {
+	h[0] = c
+	n := len(h)
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		big := i
+		if l < n && h[l].dist > h[big].dist {
+			big = l
+		}
+		if r < n && h[r].dist > h[big].dist {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+}
+
+// searchScratch is the working set of one search or insert: visited marks
+// over the arena and the two heaps. visited[ref] == epoch marks ref as seen
+// in the current pass, so a new pass only bumps epoch instead of clearing
+// the marks. The Index pools these (getScratch, putScratch); a search holds
+// one until it returns, so concurrent searches never share one.
+type searchScratch struct {
+	visited  []uint32
+	epoch    uint32
+	frontier candHeap
+	best     farHeap
+	prune    []cand // shrinkLinks' candidate list, separate from best
+}
+
+// begin starts a pass over an arena of n nodes.
+func (s *searchScratch) begin(n int) {
+	if n > len(s.visited) {
+		// Grow geometrically: an index that inserts one node at a time must
+		// not pay a fresh O(n) array per insert.
+		s.visited = make([]uint32, max(n, 2*len(s.visited)))
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale marks could collide with new ones
+		clear(s.visited)
+		s.epoch = 1
+	}
+	s.frontier = s.frontier[:0]
+	s.best = s.best[:0]
 }
 
 // greedyDescend walks one level greedily from ep toward q, returning the
@@ -226,21 +321,44 @@ func (ix *Index) greedyDescend(q []float32, ep uint32, level int) uint32 {
 	}
 }
 
-// searchLayer is the best-first beam search of the paper: expand the closest
-// unexpanded candidate until the frontier cannot improve the worst of the ef
-// best found. Tombstoned nodes participate (routing) and are filtered by the
-// caller. visited is a caller-provided scratch slice at least len(nodes)
-// long, reset lazily via the epoch value.
-func (ix *Index) searchLayer(q []float32, ep uint32, ef, level int, visited []uint32, epoch uint32) []cand {
-	var frontier candHeap
+// getScratch takes an idle scratch buffer, or makes one.
+func (ix *Index) getScratch() *searchScratch {
+	ix.scratchMu.Lock()
+	defer ix.scratchMu.Unlock()
+	n := len(ix.idle)
+	if n == 0 {
+		return new(searchScratch)
+	}
+	s := ix.idle[n-1]
+	ix.idle = ix.idle[:n-1]
+	return s
+}
+
+// putScratch returns s to the idle list, dropping it when the list is full
+// so a burst of concurrent searches does not pin its buffers for good.
+func (ix *Index) putScratch(s *searchScratch) {
+	ix.scratchMu.Lock()
+	defer ix.scratchMu.Unlock()
+	if len(ix.idle) < ix.maxIdle {
+		ix.idle = append(ix.idle, s)
+	}
+}
+
+// searchLayer is the best-first beam search of the paper (SEARCH-LAYER,
+// Alg. 2): expand the closest unexpanded candidate until the frontier cannot
+// improve the worst of the ef best found. Tombstoned nodes participate
+// (routing) and are filtered by the caller. The returned slice is s's
+// result heap, in heap order; it is valid until s's next pass.
+func (ix *Index) searchLayer(s *searchScratch, q []float32, ep uint32, ef, level int) []cand {
+	s.begin(len(ix.nodes))
+	visited, epoch := s.visited, s.epoch
 	d0 := sqDist(q, ix.nodes[ep].vec)
-	frontier.push(cand{ep, d0})
+	s.frontier.push(cand{ep, d0})
 	visited[ep] = epoch
-	best := []cand{{ep, d0}}
-	for len(frontier) > 0 {
-		c := frontier.pop()
-		worst := best[farthest(best)].dist
-		if c.dist > worst && len(best) >= ef {
+	s.best.push(cand{ep, d0})
+	for len(s.frontier) > 0 {
+		c := s.frontier.pop()
+		if c.dist > s.best[0].dist && len(s.best) >= ef {
 			break
 		}
 		for _, nb := range ix.nodes[c.ref].links[level] {
@@ -249,26 +367,27 @@ func (ix *Index) searchLayer(q []float32, ep uint32, ef, level int, visited []ui
 			}
 			visited[nb] = epoch
 			d := sqDist(q, ix.nodes[nb].vec)
-			if len(best) < ef {
-				best = append(best, cand{nb, d})
-				frontier.push(cand{nb, d})
-			} else if fi := farthest(best); d < best[fi].dist {
-				best[fi] = cand{nb, d}
-				frontier.push(cand{nb, d})
+			if len(s.best) < ef {
+				s.best.push(cand{nb, d})
+				s.frontier.push(cand{nb, d})
+			} else if d < s.best[0].dist {
+				s.best.replaceTop(cand{nb, d})
+				s.frontier.push(cand{nb, d})
 			}
 		}
 	}
-	return best
+	return s.best
 }
 
 // selectNeighbors applies the paper's heuristic pruning: walk candidates
 // closest-first and keep one only if it is closer to the query than to every
 // neighbor already kept. This spreads links across clusters instead of
 // packing them into the nearest one, which is what keeps recall high on
-// clustered embeddings.
-func (ix *Index) selectNeighbors(cands []cand, m int) []uint32 {
-	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
-	out := make([]uint32, 0, m)
+// clustered embeddings. cands is sorted in place; the kept refs are
+// appended to out[:0].
+func (ix *Index) selectNeighbors(cands []cand, m int, out []uint32) []uint32 {
+	slices.SortFunc(cands, byDist)
+	out = out[:0]
 	for _, c := range cands {
 		if len(out) >= m {
 			break
@@ -313,18 +432,18 @@ func (ix *Index) maxLinks(level int) int {
 }
 
 // shrinkLinks re-prunes a node's level links to the cap after a new
-// bidirectional edge pushed it over.
-func (ix *Index) shrinkLinks(ref uint32, level int) {
+// bidirectional edge pushed it over, rewriting them in place.
+func (ix *Index) shrinkLinks(s *searchScratch, ref uint32, level int) {
 	nd := &ix.nodes[ref]
 	limit := ix.maxLinks(level)
 	if len(nd.links[level]) <= limit {
 		return
 	}
-	cands := make([]cand, 0, len(nd.links[level]))
+	s.prune = s.prune[:0]
 	for _, nb := range nd.links[level] {
-		cands = append(cands, cand{nb, sqDist(nd.vec, ix.nodes[nb].vec)})
+		s.prune = append(s.prune, cand{nb, sqDist(nd.vec, ix.nodes[nb].vec)})
 	}
-	nd.links[level] = ix.selectNeighbors(cands, limit)
+	nd.links[level] = ix.selectNeighbors(s.prune, limit, nd.links[level])
 }
 
 // Insert adds (or upserts) id with the given vector. The vector is copied.
@@ -362,27 +481,21 @@ func (ix *Index) insertLocked(id uint64, vec []float32) {
 	for lc := ix.maxLevel; lc > level; lc-- {
 		ep = ix.greedyDescend(vec, ep, lc)
 	}
-	visited := make([]uint32, len(ix.nodes))
-	top := level
-	if ix.maxLevel < top {
-		top = ix.maxLevel
-	}
-	for lc := top; lc >= 0; lc-- {
-		cands := ix.searchLayer(vec, ep, ix.cfg.EfConstruction, lc, visited, uint32(lc)+1)
-		neighbors := ix.selectNeighbors(cands, ix.cfg.M)
+	s := ix.getScratch()
+	defer ix.putScratch(s)
+	for lc := min(level, ix.maxLevel); lc >= 0; lc-- {
+		cands := ix.searchLayer(s, vec, ep, ix.cfg.EfConstruction, lc)
+		// One spare slot: a neighbour's back-link may push the list one
+		// over the cap before shrinkLinks prunes it in place.
+		neighbors := ix.selectNeighbors(cands, ix.cfg.M, make([]uint32, 0, ix.maxLinks(lc)+1))
 		ix.nodes[ref].links[lc] = neighbors
 		for _, nb := range neighbors {
 			ix.nodes[nb].links[lc] = append(ix.nodes[nb].links[lc], ref)
-			ix.shrinkLinks(nb, lc)
+			ix.shrinkLinks(s, nb, lc)
 		}
-		// Continue the descent from the best candidate of this level.
-		bi := 0
-		for i := 1; i < len(cands); i++ {
-			if cands[i].dist < cands[bi].dist {
-				bi = i
-			}
-		}
-		ep = cands[bi].ref
+		// Continue the descent from the best candidate of this level
+		// (selectNeighbors sorted cands closest first).
+		ep = cands[0].ref
 	}
 	if level > ix.maxLevel {
 		ix.maxLevel = level
@@ -432,23 +545,22 @@ func (ix *Index) Search(q []float32, k int) ([]Result, error) {
 	for lc := ix.maxLevel; lc > 0; lc-- {
 		ep = ix.greedyDescend(q, ep, lc)
 	}
-	ef := ix.cfg.EfSearch
-	if ef < k {
-		ef = k
-	}
-	// Tombstones route but never land in results, so widen the beam enough
-	// to see past them.
+	ef := max(ix.cfg.EfSearch, k)
+	// Tombstones route but never land in results, so widen the beam by the
+	// dead share: a beam of ceil(ef / (1 - dead/n)) holds about ef live
+	// nodes.
 	if t := ix.tombstones; t > 0 {
-		bonus := t
-		if bonus > ef {
-			bonus = ef
+		n, live := len(ix.nodes), len(ix.nodes)-t
+		if live == 0 {
+			return nil, nil
 		}
-		ef += bonus
+		ef = (ef*n + live - 1) / live
 	}
-	visited := make([]uint32, len(ix.nodes))
-	best := ix.searchLayer(q, ep, ef, 0, visited, 1)
+	s := ix.getScratch()
+	defer ix.putScratch(s)
+	best := ix.searchLayer(s, q, ep, ef, 0)
+	slices.SortFunc(best, byDist)
 	out := make([]Result, 0, k)
-	sort.Slice(best, func(i, j int) bool { return best[i].dist < best[j].dist })
 	for _, c := range best {
 		if ix.nodes[c.ref].dead {
 			continue

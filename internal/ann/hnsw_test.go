@@ -102,19 +102,25 @@ func TestConformanceRecallAt10(t *testing.T) {
 		}
 		corpus[uint64(i)] = v
 	}
+	if r := recallAt(t, ix, corpus, conformanceQueries(vecs, seed), k); r < 0.95 {
+		t.Fatalf("recall@%d = %.3f, want >= 0.95", k, r)
+	}
+}
+
+// conformanceQueries draws 200 queries near corpus vectors: a random base
+// vector plus N(0, 0.25²) noise per coordinate.
+func conformanceQueries(vecs [][]float32, seed int64) [][]float32 {
 	rng := rand.New(rand.NewSource(seed + 1))
 	queries := make([][]float32, 200)
 	for i := range queries {
-		base := vecs[rng.Intn(n)]
-		q := make([]float32, dim)
+		base := vecs[rng.Intn(len(vecs))]
+		q := make([]float32, len(base))
 		for j := range q {
 			q[j] = base[j] + float32(rng.NormFloat64()*0.25)
 		}
 		queries[i] = q
 	}
-	if r := recallAt(t, ix, corpus, queries, k); r < 0.95 {
-		t.Fatalf("recall@%d = %.3f, want >= 0.95", k, r)
-	}
+	return queries
 }
 
 // TestDeterministicSearch proves run-to-run reproducibility: the same

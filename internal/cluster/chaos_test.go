@@ -307,6 +307,84 @@ func TestChaosTimeoutOnPartition(t *testing.T) {
 	}
 }
 
+// TestWireTimeoutKeepsPoolAndBlackholeOpensBreaker: a timed-out wire call
+// discards only its own connection, so the peer keeps its pooled transport
+// and concurrent calls on it are not failed. Timeouts still count against
+// the breaker, so a blackholed peer trips it.
+func TestWireTimeoutKeepsPoolAndBlackholeOpensBreaker(t *testing.T) {
+	inj := faultinject.New(5, faultinject.Config{})
+	lc := NewLocalClusterOptions(1, LocalOptions{
+		Client: Options{
+			CallTimeout:      50 * time.Millisecond,
+			BreakerThreshold: 3,
+			BreakerCooldown:  time.Minute,
+			Seed:             1,
+		},
+		StoreFactory: func(int) (storage.TopologyStore, *kvstore.Store) {
+			return storage.NewDynamicStore(storage.Options{}), kvstore.New()
+		},
+		WrapConn: func(_ int, c net.Conn) net.Conn { return inj.WrapConn(c) },
+	})
+	defer lc.Shutdown()
+	client := lc.Client()
+	if _, err := client.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	pe := client.peerAt(0)
+	tc, err := client.transportFor(pe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tc.(*wireTransport); !ok {
+		t.Fatalf("transport is %T, want a pooled wire transport", tc)
+	}
+
+	inj.Partition(false, true) // outbound blackhole
+	for i := 0; i < 3; i++ {
+		if _, err := client.Stats(); !errors.Is(err, ErrCallTimeout) {
+			t.Fatalf("blackholed call %d: error %v, want ErrCallTimeout", i, err)
+		}
+		if cur, _ := client.transportFor(pe); cur != tc {
+			t.Fatalf("call %d: a wire timeout replaced the peer's pooled transport", i)
+		}
+	}
+	if h := client.Health()[0]; h.Breaker != "open" {
+		t.Fatalf("breaker %q after 3 blackholed calls, want open", h.Breaker)
+	}
+}
+
+// TestClosedTransportRetriesWithoutBreaker: a call handed a transport that
+// another call on the same peer has just closed retries on a fresh one, and
+// the closed transport is not charged to the peer's breaker.
+func TestClosedTransportRetriesWithoutBreaker(t *testing.T) {
+	lc := NewLocalClusterOptions(1, LocalOptions{
+		Client: Options{
+			CallTimeout:      time.Second,
+			MaxRetries:       1,
+			RetryBaseDelay:   time.Millisecond,
+			BreakerThreshold: 1,
+			BreakerCooldown:  time.Minute,
+			Seed:             1,
+		},
+		StoreFactory: func(int) (storage.TopologyStore, *kvstore.Store) {
+			return storage.NewDynamicStore(storage.Options{}), kvstore.New()
+		},
+	})
+	defer lc.Shutdown()
+	client := lc.Client()
+	pe := client.peerAt(0)
+	closed := &wireTransport{closed: true}
+	pe.mu.Lock()
+	pe.tc = closed
+	pe.mu.Unlock()
+	if _, err := client.Stats(); err != nil {
+		t.Fatalf("call after a closed transport: %v", err)
+	}
+	if h := client.Health()[0]; h.Breaker != "closed" || h.Failures != 0 {
+		t.Fatalf("breaker %q with %d failures after a closed transport, want closed with 0", h.Breaker, h.Failures)
+	}
+}
+
 // TestChaosBreakerFailsFast: repeated failures open the per-peer circuit
 // breaker, which then rejects instantly; after the cooldown a probe call
 // closes it again.

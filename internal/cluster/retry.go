@@ -339,7 +339,16 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 			return nil
 		}
 		lastErr = err
-		if errors.Is(err, ErrCallTimeout) {
+		if errors.Is(err, errTransportClosed) {
+			// A concurrent call on this peer dropped the transport we were
+			// handed. That says nothing about the peer: retry on its
+			// replacement without feeding the breaker. (fail clears tc only
+			// if it is somehow still the peer's current transport.)
+			pe.fail(tc)
+			continue
+		}
+		timedOut := errors.Is(err, ErrCallTimeout)
+		if timedOut {
 			c.metrics.incTimeout()
 		}
 		if errors.Is(err, errClientSaturated) {
@@ -359,9 +368,14 @@ func (c *Client) callPeCtx(ctx context.Context, pe *peer, method string, args, r
 			pe.br.success() // the transport worked; the request was rejected
 			return err
 		}
-		// Transport failure: drop the connection so the next attempt
-		// redials, and record it against the breaker.
-		pe.fail(tc)
+		// Transport failure: record it against the breaker, and drop the
+		// transport so the next attempt redials. A timed-out wire exchange
+		// is the exception: the pool already discarded the one connection
+		// it held, and dropping the rest would fail every concurrent call
+		// on the peer.
+		if _, pooled := tc.(*wireTransport); !pooled || !timedOut {
+			pe.fail(tc)
+		}
 		pe.br.failure(time.Now(), err)
 	}
 }
